@@ -3,11 +3,12 @@
 // on the fig_f4 instance shapes, scaled up to kMaxExactNodes.
 //
 // Per workload, three rows per decider family:
-//   *-seed — find_rmt_cut_reference / find_rmt_zpp_cut_reference: rebuilds
-//            Z_B, V(γ(B)) and N(B) from scratch for every enumerated B;
-//   *-incr — the shipped sequential decider: single-node push/pop deltas,
-//            prebuilt per-node constraints, inline NodeSets throughout;
-//   *-pool — the batched ThreadPool scan over the same incremental kernel.
+//   *-seed        — find_rmt_cut_reference / find_rmt_zpp_cut_reference:
+//                   rebuilds Z_B, V(γ(B)) and N(B) for every enumerated B;
+//   *-incr        — the shipped decider (analysis/cut_search.hpp):
+//                   single-node push/pop deltas, precompiled per-node
+//                   groups, inline NodeSets throughout;
+//   *-incr-scalar — the same with the vector kernels forced off.
 //
 // The `identical` column is evaluated against the seed witness and is also
 // a hard RMT_CHECK: an optimized decider that ever returns a different
@@ -29,15 +30,8 @@ using namespace rmt;
 
 inline constexpr int kReps = 5;
 
-bool same_rmt(const std::optional<analysis::RmtCutWitness>& a,
-              const std::optional<analysis::RmtCutWitness>& b) {
-  if (a.has_value() != b.has_value()) return false;
-  if (!a) return true;
-  return a->c1 == b->c1 && a->c2 == b->c2 && a->b == b->b;
-}
-
-bool same_zpp(const std::optional<analysis::ZppCutWitness>& a,
-              const std::optional<analysis::ZppCutWitness>& b) {
+bool same_witness(const std::optional<analysis::CutWitness>& a,
+                  const std::optional<analysis::CutWitness>& b) {
   if (a.has_value() != b.has_value()) return false;
   if (!a) return true;
   return a->c1 == b->c1 && a->c2 == b->c2 && a->b == b->b;
@@ -62,33 +56,22 @@ int main(int argc, char** argv) {
   Reporter rep(argc, argv, "bench_decider");
   rep.columns({"family", "n", "structure", "decider", "wall_ms", "speedup", "identical"});
 
-  const std::size_t jobs = rep.exec().jobs > 1
-                               ? rep.exec().jobs
-                               : std::max<std::size_t>(2, exec::ThreadPool::hardware_concurrency());
-  exec::ThreadPool pool(jobs);
-
   // One workload = one fig_f4-shaped instance. Both decider families run
-  // seed / incremental / pooled on it; every optimized answer is checked
-  // bit-for-bit against the seed witness.
+  // seed / incremental / forced-scalar on it; every optimized answer is
+  // checked bit-for-bit against the seed witness.
   const auto run = [&](const std::string& family, const std::string& zkind,
                        const Instance& inst) {
     const std::uint64_t n = inst.num_players();
 
-    std::optional<analysis::RmtCutWitness> rmt_seed, rmt_incr, rmt_pool;
+    std::optional<analysis::RmtCutWitness> rmt_seed, rmt_incr;
     const double rmt_seed_ms = best_ms([&] { rmt_seed = analysis::find_rmt_cut_reference(inst); });
     const double rmt_incr_ms = best_ms([&] { rmt_incr = analysis::find_rmt_cut(inst); });
-    const double rmt_pool_ms = best_ms([&] { rmt_pool = analysis::find_rmt_cut(inst, &pool); });
-    const bool rmt_incr_same = same_rmt(rmt_seed, rmt_incr);
-    const bool rmt_pool_same = same_rmt(rmt_seed, rmt_pool);
+    const bool rmt_incr_same = same_witness(rmt_seed, rmt_incr);
     rep.row({family, n, zkind, "rmt-seed", rmt_seed_ms, 1.0, true});
     rep.row({family, n, zkind, "rmt-incr", rmt_incr_ms,
              rmt_incr_ms > 0 ? rmt_seed_ms / rmt_incr_ms : 0.0, rmt_incr_same});
-    rep.row({family, n, zkind, "rmt-pool", rmt_pool_ms,
-             rmt_pool_ms > 0 ? rmt_seed_ms / rmt_pool_ms : 0.0, rmt_pool_same});
     RMT_CHECK(rmt_incr_same, "bench_decider: " + family + "/" + zkind +
                                  " incremental rmt witness diverged from seed");
-    RMT_CHECK(rmt_pool_same, "bench_decider: " + family + "/" + zkind +
-                                 " pooled rmt witness diverged from seed");
 
     // The incremental decider again with the vector kernels disabled: the
     // scalar reference kernels must give the same witness, at whatever
@@ -98,34 +81,28 @@ int main(int argc, char** argv) {
       const simd::ScopedForceScalar scalar_only;
       std::optional<analysis::RmtCutWitness> rmt_scal;
       const double rmt_scal_ms = best_ms([&] { rmt_scal = analysis::find_rmt_cut(inst); });
-      const bool rmt_scal_same = same_rmt(rmt_seed, rmt_scal);
+      const bool rmt_scal_same = same_witness(rmt_seed, rmt_scal);
       rep.row({family, n, zkind, "rmt-incr-scalar", rmt_scal_ms,
                rmt_scal_ms > 0 ? rmt_seed_ms / rmt_scal_ms : 0.0, rmt_scal_same});
       RMT_CHECK(rmt_scal_same, "bench_decider: " + family + "/" + zkind +
                                    " forced-scalar rmt witness diverged from seed");
     }
 
-    std::optional<analysis::ZppCutWitness> zpp_seed, zpp_incr, zpp_pool;
+    std::optional<analysis::ZppCutWitness> zpp_seed, zpp_incr;
     const double zpp_seed_ms =
         best_ms([&] { zpp_seed = analysis::find_rmt_zpp_cut_reference(inst); });
     const double zpp_incr_ms = best_ms([&] { zpp_incr = analysis::find_rmt_zpp_cut(inst); });
-    const double zpp_pool_ms = best_ms([&] { zpp_pool = analysis::find_rmt_zpp_cut(inst, &pool); });
-    const bool zpp_incr_same = same_zpp(zpp_seed, zpp_incr);
-    const bool zpp_pool_same = same_zpp(zpp_seed, zpp_pool);
+    const bool zpp_incr_same = same_witness(zpp_seed, zpp_incr);
     rep.row({family, n, zkind, "zpp-seed", zpp_seed_ms, 1.0, true});
     rep.row({family, n, zkind, "zpp-incr", zpp_incr_ms,
              zpp_incr_ms > 0 ? zpp_seed_ms / zpp_incr_ms : 0.0, zpp_incr_same});
-    rep.row({family, n, zkind, "zpp-pool", zpp_pool_ms,
-             zpp_pool_ms > 0 ? zpp_seed_ms / zpp_pool_ms : 0.0, zpp_pool_same});
     RMT_CHECK(zpp_incr_same, "bench_decider: " + family + "/" + zkind +
                                  " incremental zpp witness diverged from seed");
-    RMT_CHECK(zpp_pool_same, "bench_decider: " + family + "/" + zkind +
-                                 " pooled zpp witness diverged from seed");
     {
       const simd::ScopedForceScalar scalar_only;
       std::optional<analysis::ZppCutWitness> zpp_scal;
       const double zpp_scal_ms = best_ms([&] { zpp_scal = analysis::find_rmt_zpp_cut(inst); });
-      const bool zpp_scal_same = same_zpp(zpp_seed, zpp_scal);
+      const bool zpp_scal_same = same_witness(zpp_seed, zpp_scal);
       rep.row({family, n, zkind, "zpp-incr-scalar", zpp_scal_ms,
                zpp_scal_ms > 0 ? zpp_seed_ms / zpp_scal_ms : 0.0, zpp_scal_same});
       RMT_CHECK(zpp_scal_same, "bench_decider: " + family + "/" + zkind +
@@ -175,8 +152,6 @@ int main(int argc, char** argv) {
         Instance(g, threshold_structure(players, 2), ViewFunction::k_hop(g, 1), 0, r));
   }
 
-  pool.publish_stats();
-  rep.finish("DECIDER — seed vs. incremental hot path, " + std::to_string(jobs) +
-             "-thread pool (identical answers)");
+  rep.finish("DECIDER — seed vs. incremental hot path (identical answers)");
   return 0;
 }

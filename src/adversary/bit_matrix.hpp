@@ -169,11 +169,6 @@ class ConjunctionRows {
     return contains_wide(x);
   }
 
-  /// Batched conjunction probes: out[i] = contains(probes[i]).
-  void probe_batch(const NodeSet* probes, std::size_t k, bool* out) const {
-    for (std::size_t i = 0; i < k; ++i) out[i] = contains(probes[i]);
-  }
-
  private:
   void push_group_restride(const CompiledGroup& g);
   bool contains_wide(const NodeSet& x) const;

@@ -1,24 +1,21 @@
 #include "adversary/joint.hpp"
 
+#include <utility>
+
 namespace rmt {
 
 void JointStructure::add_constraint(const NodeSet& ground, const AdversaryStructure& z) {
-  owned_.emplace_back(z, ground);
-  constraints_.push_back(&owned_.back());
-  rows_.push_group(owned_.back().compiled());
+  add_constraint(RestrictedStructure(z, ground));
 }
 
-void JointStructure::add_constraint(const RestrictedStructure& c) {
-  owned_.push_back(c);
-  constraints_.push_back(&owned_.back());
-  rows_.push_group(owned_.back().compiled());
+void JointStructure::add_constraint(RestrictedStructure c) {
+  rows_.push_group(c.compiled());
+  constraints_.push_back(std::move(c));
 }
-
-
 
 NodeSet JointStructure::ground() const {
   NodeSet g;
-  for (const RestrictedStructure* c : constraints_) g |= c->ground();
+  for (const RestrictedStructure& c : constraints_) g |= c.ground();
   return g;
 }
 
@@ -28,8 +25,8 @@ RestrictedStructure JointStructure::materialize() const {
     // contains ∅ (consistent with contains(): every X ∩ ∅ = ∅ is a member).
     return RestrictedStructure(AdversaryStructure::trivial(), NodeSet{});
   }
-  RestrictedStructure acc = *constraints_.front();
-  for (std::size_t i = 1; i < constraints_.size(); ++i) acc = oplus(acc, *constraints_[i]);
+  RestrictedStructure acc = constraints_.front();
+  for (std::size_t i = 1; i < constraints_.size(); ++i) acc = oplus(acc, constraints_[i]);
   return acc;
 }
 

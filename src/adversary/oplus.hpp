@@ -45,8 +45,8 @@ class RestrictedStructure {
 
   /// The constraint's precompiled forbidden rows ground ∖ M (see
   /// adversary/bit_matrix.hpp): x ∩ ground ∈ family ⇔ some row is disjoint
-  /// from x. Built once at construction; JointStructure pushes reference
-  /// this instead of copying the whole structure.
+  /// from x. Built once at construction; JointStructure and the Def. 3
+  /// decider push these rows instead of restricting per probe.
   const CompiledGroup& compiled() const { return compiled_; }
 
   /// Semilattice equality: same ground set and same family.

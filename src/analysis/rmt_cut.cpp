@@ -1,10 +1,8 @@
 #include "analysis/rmt_cut.hpp"
 
-#include <limits>
-#include <utility>
+#include <vector>
 
-#include "adversary/joint.hpp"
-#include "exec/thread_pool.hpp"
+#include "adversary/oplus.hpp"
 #include "graph/cuts.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timer.hpp"
@@ -22,179 +20,6 @@ obs::Counter* joint_rebuild_counter() {
   return obs::enabled() ? &obs::Registry::global().counter("rmt_cut.joint_rebuilds") : nullptr;
 }
 
-// One prebuilt constraint (Z^{V(γ(v))} over V(γ(v))) per node: the DFS
-// pushes copy these, so no restriction/prune ever runs inside the scan.
-// Restricting the global Z directly equals local_structure(v) by definition
-// and costs one restriction instead of two.
-std::vector<RestrictedStructure> prebuilt_constraints(const Instance& inst) {
-  std::vector<RestrictedStructure> constraint(inst.graph().capacity());
-  inst.graph().nodes().for_each([&](NodeId v) {
-    constraint[v] = RestrictedStructure(inst.adversary(), inst.gamma().view_nodes(v));
-  });
-  return constraint;
-}
-
-inline constexpr std::size_t kProbeMemoSlots = 16;
-inline constexpr std::size_t kProbeChunk = 16;
-
-// The per-(B, C) maximal-set scan shared by the sequential and pooled
-// deciders — one implementation, so their witnesses agree by construction.
-// Distinct probes C₂ ∩ V(γ(B)) repeat heavily across maximal sets (any two
-// M that miss the small cut identically yield the same C₂), so the few
-// distinct joint-membership answers are memoized per B, and the chunk's
-// *new* distinct probes go to the joint structure as one probe_batch call.
-// Batching and memoization only short-circuit *identical* membership
-// tests; the chunk is then walked in canonical antichain order and the
-// first qualifying M wins, keeping witnesses bit-identical to the
-// reference decider.
-std::optional<RmtCutWitness> scan_maximal_sets(const NodeSet& b, const NodeSet& cut,
-                                               const NodeSet& gamma_b, const JointStructure& zb,
-                                               const std::vector<NodeSet>& zmax) {
-  if (zmax.size() == 1) {
-    // One maximal set (the fig_f4 trivial family): no repeats to memoize,
-    // no chunk to stage — one probe decides the visit.
-    NodeSet c2 = cut;
-    c2 -= zmax[0];
-    NodeSet probe = c2;
-    probe &= gamma_b;
-    if (zb.contains(probe)) return RmtCutWitness{cut & zmax[0], std::move(c2), b};
-    return std::nullopt;
-  }
-  NodeSet seen[kProbeMemoSlots];
-  bool ans[kProbeMemoSlots];
-  std::size_t nseen = 0;
-  if (zmax.size() < kProbeChunk) {
-    // Small antichains (the fig_f4 trivial and random families) probe one
-    // by one: the chunk staging below costs more than it amortizes.
-    for (const NodeSet& m : zmax) {
-      NodeSet c2 = cut;
-      c2 -= m;
-      NodeSet probe = c2;
-      probe &= gamma_b;
-      bool member = false;
-      bool cached = false;
-      for (std::size_t i = 0; i < nseen; ++i) {
-        if (seen[i] == probe) {
-          member = ans[i];
-          cached = true;
-          break;
-        }
-      }
-      if (!cached) {
-        member = zb.contains(probe);
-        if (nseen < kProbeMemoSlots) {
-          seen[nseen] = probe;
-          ans[nseen] = member;
-          ++nseen;
-        }
-      }
-      if (member) return RmtCutWitness{cut & m, std::move(c2), b};
-    }
-    return std::nullopt;
-  }
-  NodeSet c2s[kProbeChunk];
-  NodeSet probes[kProbeChunk];
-  // member[j]: cached answer for chunk slot j; fresh[j]: index into the
-  // batch of not-yet-answered distinct probes, or kProbeChunk for cached.
-  bool member[kProbeChunk];
-  std::size_t fresh[kProbeChunk];
-  NodeSet batch[kProbeChunk];
-  bool batch_ans[kProbeChunk];
-  std::size_t owner[kProbeChunk];  // chunk slot that inserted batch[i]
-  for (std::size_t base = 0; base < zmax.size(); base += kProbeChunk) {
-    const std::size_t len = std::min(kProbeChunk, zmax.size() - base);
-    std::size_t nbatch = 0;
-    for (std::size_t j = 0; j < len; ++j) {
-      c2s[j] = cut;
-      c2s[j] -= zmax[base + j];
-      probes[j] = c2s[j];
-      probes[j] &= gamma_b;
-      fresh[j] = kProbeChunk;
-      bool cached = false;
-      for (std::size_t i = 0; i < nseen; ++i) {
-        if (seen[i] == probes[j]) {
-          member[j] = ans[i];
-          cached = true;
-          break;
-        }
-      }
-      if (cached) continue;
-      // Dedupe within the pending batch too: chunk-mates repeat probes
-      // just as heavily as the memo hits do.
-      for (std::size_t i = 0; i < nbatch; ++i) {
-        if (batch[i] == probes[j]) {
-          fresh[j] = i;
-          cached = true;
-          break;
-        }
-      }
-      if (cached) continue;
-      batch[nbatch] = probes[j];
-      owner[nbatch] = j;
-      fresh[j] = nbatch;
-      ++nbatch;
-    }
-    if (nbatch > 0) zb.probe_batch(batch, nbatch, batch_ans);
-    for (std::size_t j = 0; j < len; ++j) {
-      if (fresh[j] != kProbeChunk) {
-        member[j] = batch_ans[fresh[j]];
-        if (owner[fresh[j]] == j && nseen < kProbeMemoSlots) {
-          seen[nseen] = probes[j];
-          ans[nseen] = member[j];
-          ++nseen;
-        }
-      }
-      if (member[j])
-        return RmtCutWitness{cut & zmax[base + j], std::move(c2s[j]), b};
-    }
-  }
-  return std::nullopt;
-}
-
-// Incremental decider state, driven by the push/pop enumeration: Z_B, the
-// joint view union V(γ(B)) and the neighbour union ∪_{v∈B} N(v) (whence
-// N(B) = ∪N(v) ∖ B) all follow the DFS by single-node deltas. Unions are
-// not invertible, so pop restores from a save stack instead of subtracting;
-// all stacks are preallocated and every set involved is inline at
-// kMaxExactNodes, so the scan never allocates.
-struct IncrementalScan {
-  const Graph& g;
-  const NodeId d;
-  const ViewFunction& gamma;
-  const std::vector<RestrictedStructure>& constraint;
-  const std::vector<NodeSet>& zmax;
-  JointStructure zb;
-  NodeSet gamma_b;
-  NodeSet nbrs;
-  std::vector<NodeSet> gamma_save;
-  std::vector<NodeSet> nbrs_save;
-  std::optional<RmtCutWitness> witness;
-
-  void push(NodeId v) {
-    zb.add_constraint_ref(constraint[v]);  // constraint outlives the scan
-    gamma_save.push_back(gamma_b);
-    gamma_b |= gamma.view_nodes(v);
-    nbrs_save.push_back(nbrs);
-    nbrs |= g.neighbors(v);
-  }
-
-  void pop(NodeId) {
-    zb.pop_constraint();
-    gamma_b = std::move(gamma_save.back());
-    gamma_save.pop_back();
-    nbrs = std::move(nbrs_save.back());
-    nbrs_save.pop_back();
-  }
-
-  bool visit(const NodeSet& b) {
-    NodeSet cut = nbrs;
-    cut -= b;
-    if (cut.contains(d)) return true;  // D may not sit inside the cut
-    witness = scan_maximal_sets(b, cut, gamma_b, zb, zmax);
-    return !witness.has_value();
-  }
-};
-
 }  // namespace
 
 std::optional<RmtCutWitness> find_rmt_cut(const Instance& inst) {
@@ -203,18 +28,15 @@ std::optional<RmtCutWitness> find_rmt_cut(const Instance& inst) {
   RMT_REQUIRE(inst.num_players() <= kMaxExactNodes,
               "find_rmt_cut: instance too large for the exact decider");
   RMT_AUDIT_VALIDATE(inst);
-  const Graph& g = inst.graph();
-  const std::vector<RestrictedStructure> constraint = prebuilt_constraints(inst);
-
-  IncrementalScan scan{g,  inst.dealer(), inst.gamma(), constraint, inst.adversary().maximal_sets(),
-                       {}, {},            {},           {},         {},
-                       {}};
-  scan.zb.reserve(g.capacity());
-  scan.gamma_save.reserve(g.capacity() + 1);
-  scan.nbrs_save.reserve(g.capacity() + 1);
-  enumerate_connected_subsets_incremental(g, inst.receiver(), NodeSet::single(inst.dealer()),
-                                          scan);
-  return std::move(scan.witness);
+  // Node v's share of Z_B: Z^{V(γ(v))} over V(γ(v)), compiled once so no
+  // restriction runs inside the search. Restricting the global Z directly
+  // equals local_structure(v) by definition and costs one restriction
+  // instead of two.
+  std::vector<CompiledGroup> groups(inst.graph().capacity());
+  inst.graph().nodes().for_each([&](NodeId v) {
+    groups[v] = RestrictedStructure(inst.adversary(), inst.gamma().view_nodes(v)).compiled();
+  });
+  return search_cut(inst, groups);
 }
 
 std::optional<RmtCutWitness> find_rmt_cut_reference(const Instance& inst) {
@@ -256,82 +78,6 @@ std::optional<RmtCutWitness> find_rmt_cut_reference(const Instance& inst) {
     }
     return true;
   });
-  return witness;
-}
-
-std::optional<RmtCutWitness> find_rmt_cut(const Instance& inst, exec::ThreadPool* pool) {
-  if (pool == nullptr || pool->num_workers() <= 1) return find_rmt_cut(inst);
-  RMT_OBS_SCOPE("rmt_cut.find");
-  RMT_TRACE_SPAN("rmt_cut.find");
-  RMT_REQUIRE(inst.num_players() <= kMaxExactNodes,
-              "find_rmt_cut: instance too large for the exact decider");
-  RMT_AUDIT_VALIDATE(inst);
-  const Graph& g = inst.graph();
-  const NodeId d = inst.dealer();
-  const NodeId r = inst.receiver();
-
-  const std::vector<RestrictedStructure> constraint = prebuilt_constraints(inst);
-  const std::vector<NodeSet>& zmax = inst.adversary().maximal_sets();
-  obs::Counter* rebuilds = joint_rebuild_counter();  // atomic: safe from workers
-
-  // The per-B work from the sequential scan, as a pure function of B. The
-  // batch items are independent, so Z_B is rebuilt per B here (counted) —
-  // but from the prebuilt constraints, so the rebuild is |B| pointer pushes
-  // and compiled-row appends, not |B| restrictions.
-  const auto eval_b = [&](const NodeSet& b) -> std::optional<RmtCutWitness> {
-    const NodeSet cut = g.boundary(b);
-    if (cut.contains(d)) return std::nullopt;
-    JointStructure zb;
-    zb.reserve(g.capacity());
-    NodeSet gamma_b;
-    b.for_each([&](NodeId v) {
-      zb.add_constraint_ref(constraint[v]);  // constraint outlives the batch
-      gamma_b |= inst.gamma().view_nodes(v);
-    });
-    if (rebuilds) rebuilds->inc();
-    return scan_maximal_sets(b, cut, gamma_b, zb, zmax);
-  };
-
-  // The enumeration itself is a sequential DFS, so the pipeline is:
-  // collect a batch of candidate Bs, fan the batch out over the pool,
-  // keep the lowest-index witness (== the first in enumeration order, so
-  // the answer matches the sequential decider bit for bit), stop at the
-  // first batch that produced one.
-  struct First {
-    std::size_t index = std::numeric_limits<std::size_t>::max();
-    std::optional<RmtCutWitness> w;
-  };
-  const std::size_t batch_size = 64 * pool->num_workers();
-  std::vector<NodeSet> batch;
-  batch.reserve(batch_size);
-  std::optional<RmtCutWitness> witness;
-
-  const auto flush = [&]() {
-    if (batch.empty() || witness) return;
-    First f = exec::parallel_reduce<First>(
-        pool, 0, batch.size(), exec::suggest_grain(batch.size(), pool), First{},
-        [&](std::size_t lo, std::size_t hi) {
-          First p;
-          for (std::size_t i = lo; i < hi; ++i) {
-            if (std::optional<RmtCutWitness> w = eval_b(batch[i])) {
-              p.index = i;
-              p.w = std::move(w);
-              break;  // lowest index within the chunk; rest cannot win
-            }
-          }
-          return p;
-        },
-        [](First a, First b2) { return a.index <= b2.index ? std::move(a) : std::move(b2); });
-    batch.clear();
-    if (f.w) witness = std::move(*f.w);
-  };
-
-  enumerate_connected_subsets(g, r, NodeSet::single(d), [&](const NodeSet& b) {
-    batch.push_back(b);
-    if (batch.size() >= batch_size) flush();
-    return !witness.has_value();
-  });
-  flush();
   return witness;
 }
 

@@ -18,24 +18,19 @@
 //      helps.
 // The scan is exponential in |G| (connected-subset enumeration) — the
 // objects quantified over are exponential; instance sizes are guarded.
+// The scan itself is the search shared with Definition 7
+// (analysis/cut_search.hpp); this decider supplies its per-node groups.
 #pragma once
 
 #include <optional>
 
+#include "analysis/cut_search.hpp"
 #include "instance/instance.hpp"
-
-namespace rmt::exec {
-class ThreadPool;
-}
 
 namespace rmt::analysis {
 
 /// A concrete RMT-cut, returned as proof of infeasibility.
-struct RmtCutWitness {
-  NodeSet c1;  ///< the part covered by an admissible set (C₁ ∈ Z)
-  NodeSet c2;  ///< the part the receiver side cannot rule out
-  NodeSet b;   ///< the connected component of R after removing C₁ ∪ C₂
-};
+using RmtCutWitness = CutWitness;
 
 /// Upper bound on instance size accepted by the exact deciders.
 inline constexpr std::size_t kMaxExactNodes = 26;
@@ -43,11 +38,13 @@ inline constexpr std::size_t kMaxExactNodes = 26;
 /// Find an RMT-cut, or nullopt if none exists (⇒ RMT-PKA succeeds, Thm 5).
 /// Requires num_players() <= kMaxExactNodes.
 ///
-/// Incremental scan: Z_B, V(γ(B)) and N(B) follow the connected-subset DFS
-/// by single-node push/pop deltas instead of per-B rebuilds, and every set
-/// it touches is inline (NodeSet SBO) at kMaxExactNodes — the hot loop
-/// never allocates (obs counter `nodeset.heap_spills` stays 0) and never
-/// rebuilds a joint structure (`rmt_cut.joint_rebuilds` stays 0).
+/// Compiles each node's constraint Z^{V(γ(v))} over V(γ(v)) once, then
+/// runs the incremental cut search: Z_B and N(B) follow the
+/// connected-subset DFS by single-node push/pop deltas instead of per-B
+/// rebuilds, and every set it touches is inline (NodeSet SBO) at
+/// kMaxExactNodes — the hot loop never allocates (obs counter
+/// `nodeset.heap_spills` stays 0) and never rebuilds a joint structure
+/// (`rmt_cut.joint_rebuilds` stays 0).
 std::optional<RmtCutWitness> find_rmt_cut(const Instance& inst);
 
 /// The straightforward decider: rebuilds Z_B, V(γ(B)) and N(B) from scratch
@@ -55,13 +52,6 @@ std::optional<RmtCutWitness> find_rmt_cut(const Instance& inst);
 /// kept as the cross-check baseline (tests assert bit-identical answers;
 /// bench_decider_hotpath measures the gap as BENCH_decider.json).
 std::optional<RmtCutWitness> find_rmt_cut_reference(const Instance& inst);
-
-/// Parallel decider: batches the connected-subset enumeration and
-/// evaluates each batch across `pool`, keeping the lowest-index witness —
-/// so the returned witness is exactly the sequential one at any worker
-/// count. pool == nullptr (or a one-worker pool) falls back to the
-/// sequential scan above.
-std::optional<RmtCutWitness> find_rmt_cut(const Instance& inst, exec::ThreadPool* pool);
 
 bool rmt_cut_exists(const Instance& inst);
 

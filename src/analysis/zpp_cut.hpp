@@ -12,7 +12,9 @@
 // receiver), which is how broadcast feasibility is decided here.
 //
 // The same two WLOG reductions as in rmt_cut.hpp apply (C = N(B) for
-// connected B; C₁ = N(B) ∩ M per maximal M ∈ Z).
+// connected B; C₁ = N(B) ∩ M per maximal M ∈ Z), and the scan is the
+// search shared with Definition 3 (analysis/cut_search.hpp); this decider
+// supplies its per-node groups.
 //
 // Z_u here is the node's local structure under the instance's γ; on ad hoc
 // instances this is exactly the Z_u = Z^{N[u]} of the paper. The deciders
@@ -22,34 +24,23 @@
 
 #include <optional>
 
+#include "analysis/cut_search.hpp"
 #include "instance/instance.hpp"
-
-namespace rmt::exec {
-class ThreadPool;
-}
 
 namespace rmt::analysis {
 
-struct ZppCutWitness {
-  NodeSet c1;  ///< C₁ ∈ Z
-  NodeSet c2;  ///< locally plausible part: ∀u ∈ B, N(u) ∩ C₂ ∈ Z_u
-  NodeSet b;   ///< receiver-side component
-};
+/// A concrete RMT Z-pp cut: C₁ ∈ Z, and ∀u ∈ B: N(u) ∩ C₂ ∈ Z_u.
+using ZppCutWitness = CutWitness;
 
 /// Find an RMT Z-pp cut (Def. 7), or nullopt (⇒ Z-CPA succeeds, Thm 7).
-/// Incremental scan (see rmt_cut.hpp): N(B) and the member list follow the
-/// connected-subset DFS by push/pop deltas; allocation-free at
+/// Compiles each node's plausibility constraint once, then runs the
+/// incremental cut search (see rmt_cut.hpp); allocation-free at
 /// kMaxExactNodes.
 std::optional<ZppCutWitness> find_rmt_zpp_cut(const Instance& inst);
 
 /// The straightforward per-B-rebuild decider, kept as the cross-check
 /// baseline for witness identity and the BENCH_decider.json comparison.
 std::optional<ZppCutWitness> find_rmt_zpp_cut_reference(const Instance& inst);
-
-/// Parallel decider: batched scan over `pool`, lowest-index witness — the
-/// returned witness is exactly the sequential one at any worker count.
-/// pool == nullptr (or a one-worker pool) falls back to the sequential scan.
-std::optional<ZppCutWitness> find_rmt_zpp_cut(const Instance& inst, exec::ThreadPool* pool);
 
 bool rmt_zpp_cut_exists(const Instance& inst);
 

@@ -15,6 +15,27 @@ namespace {
 /// submitting to a pool that is blocked waiting on them.
 thread_local const ThreadPool* t_worker_pool = nullptr;
 
+/// The trace context a task submitted from this thread re-enters on its
+/// worker (invalid when tracing is off or no span is open). One relaxed
+/// load when tracing is off.
+obs::trace::TraceContext task_context() {
+  return obs::trace::enabled() ? obs::trace::current() : obs::trace::TraceContext{};
+}
+
+/// Run `body` under `ctx`, inside an exec.task span that closes when
+/// `body` returns — so spans opened in the task nest under the owning
+/// request rather than starting parentless traces.
+template <typename F>
+void run_in_context(const obs::trace::TraceContext& ctx, F&& body) {
+  if (!ctx.valid()) {
+    body();
+    return;
+  }
+  obs::trace::ContextGuard guard(ctx);
+  obs::trace::Span span(RMT_TRACE_NAME("exec.task"));
+  body();
+}
+
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -39,19 +60,14 @@ bool ThreadPool::on_worker_thread() const { return t_worker_pool == this; }
 
 void ThreadPool::submit(std::function<void()> task) {
   RMT_REQUIRE(task != nullptr, "ThreadPool::submit: null task");
-  // Request-scoped tracing crosses the pool boundary here: capture the
-  // submitting thread's context and re-enter it on the worker, so spans
-  // opened inside the task nest under the owning request rather than
-  // starting parentless traces. One relaxed load when tracing is off.
-  if (obs::trace::enabled()) {
-    if (const obs::trace::TraceContext ctx = obs::trace::current(); ctx.valid()) {
-      task = [ctx, inner = std::move(task)] {
-        obs::trace::ContextGuard guard(ctx);
-        obs::trace::Span span(RMT_TRACE_NAME("exec.task"));
-        inner();
-      };
-    }
-  }
+  // Request-scoped tracing crosses the pool boundary here: the worker
+  // re-enters the submitting thread's context.
+  if (const obs::trace::TraceContext ctx = task_context(); ctx.valid())
+    task = [ctx, inner = std::move(task)] { run_in_context(ctx, inner); };
+  enqueue(std::move(task));
+}
+
+void ThreadPool::enqueue(std::function<void()> task) {
   const std::size_t target =
       std::size_t(next_queue_.fetch_add(1, std::memory_order_relaxed)) % queues_.size();
   {
@@ -156,15 +172,21 @@ void parallel_for(ThreadPool* pool, std::size_t begin, std::size_t end, std::siz
   std::mutex done_m;
   std::condition_variable done_cv;
   std::size_t remaining = chunks;
+  const obs::trace::TraceContext ctx = task_context();
   for (std::size_t c = 0; c < chunks; ++c) {
-    pool->submit([&, c] {
-      const std::size_t lo = begin + c * grain;
-      const std::size_t hi = std::min(end, lo + grain);
-      try {
-        for (std::size_t i = lo; i < hi; ++i) fn(i);
-      } catch (...) {
-        errors[c] = std::current_exception();
-      }
+    pool->enqueue([&, c] {
+      // The chunk's exec.task span closes before the completion signal:
+      // once the waiter sees remaining == 0 it may close its own span,
+      // which is this one's parent.
+      run_in_context(ctx, [&] {
+        const std::size_t lo = begin + c * grain;
+        const std::size_t hi = std::min(end, lo + grain);
+        try {
+          for (std::size_t i = lo; i < hi; ++i) fn(i);
+        } catch (...) {
+          errors[c] = std::current_exception();
+        }
+      });
       // Notify under the lock: done_cv lives on the waiter's stack, and the
       // waiter may destroy it the moment it can observe remaining == 0. With
       // the mutex held the waiter cannot return from wait() until this

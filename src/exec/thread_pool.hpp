@@ -83,6 +83,14 @@ class ThreadPool {
     std::deque<std::function<void()>> q;
   };
 
+  // parallel_for enqueues its chunks directly: each chunk opens its own
+  // exec.task span and must close it before signalling completion.
+  friend void parallel_for(ThreadPool* pool, std::size_t begin, std::size_t end,
+                           std::size_t grain, const std::function<void(std::size_t)>& fn);
+
+  /// Push an already-wrapped task (round-robin) and wake one worker.
+  void enqueue(std::function<void()> task);
+
   void worker_loop(std::size_t self);
   std::optional<std::function<void()>> try_take(std::size_t self);
 

@@ -2,13 +2,16 @@
 // ids, the flight-recorder ring accounting, context propagation across the
 // exec::ThreadPool boundary, and the rmt.trace/1 dump shape.
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <future>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "exec/thread_pool.hpp"
 #include "obs/trace.hpp"
@@ -218,6 +221,47 @@ TEST_F(TraceTest, PoolSubmitPropagatesContextViaExecTaskSpan) {
   EXPECT_EQ(task->parent_span_id, root_span);
   EXPECT_EQ(inner->trace_id, root_trace);
   EXPECT_EQ(inner->parent_span_id, task->span_id);
+}
+
+TEST_F(TraceTest, ParallelForTaskSpansEndInsideTheirBatch) {
+  // A parallel_for chunk's exec.task span must end before the chunk
+  // signals completion: the waiter closes its svc.batch span (the task
+  // spans' parent) as soon as the loop returns. The overhang needs a
+  // worker delayed between the two, so many short loops give it many
+  // chances. The dump also goes through tools/check_bench_json.py
+  // (ctest json_parallel_for_trace_schema).
+  constexpr std::size_t kBatches = 4000;
+  constexpr std::size_t kChunks = 4;
+  Recorder::global().set_capacity(kBatches * (kChunks + 1));
+  {
+    exec::ThreadPool pool(2);
+    for (std::size_t i = 0; i < kBatches; ++i) {
+      Span batch("svc.batch");
+      exec::parallel_for(&pool, 0, kChunks, 1, [](std::size_t) {});
+    }
+  }
+  const std::vector<SpanRecord> spans = Recorder::global().snapshot();
+  ASSERT_EQ(spans.size(), kBatches * (kChunks + 1));
+  std::map<std::uint64_t, const SpanRecord*> by_id;
+  for (const SpanRecord& s : spans) by_id[s.span_id] = &s;
+  std::size_t overhangs = 0;
+  for (const SpanRecord& s : spans) {
+    if (name_of(s) != "exec.task") continue;
+    const SpanRecord& parent = *by_id.at(s.parent_span_id);
+    EXPECT_EQ(name_of(parent), "svc.batch");
+    if (s.start_ns < parent.start_ns || s.end_ns > parent.end_ns) ++overhangs;
+  }
+  EXPECT_EQ(overhangs, 0u);
+
+  // Replace the dump atomically: ctest may run this test twice at once
+  // (discovered, and as the checker's fixture).
+  const std::filesystem::path dump =
+      std::filesystem::path(RMT_OBS_ARTIFACTS_DIR) / "parallel_for.trace.jsonl";
+  std::filesystem::path tmp = dump;
+  tmp += ".tmp";
+  tmp += std::to_string(::getpid());
+  ASSERT_TRUE(Recorder::global().write_file(tmp.string()));
+  std::filesystem::rename(tmp, dump);
 }
 
 TEST_F(TraceTest, WriteJsonlHeaderAgreesWithSpanLines) {

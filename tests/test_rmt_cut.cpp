@@ -7,7 +7,6 @@
 #include <optional>
 
 #include "analysis/feasibility.hpp"
-#include "exec/thread_pool.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
@@ -168,6 +167,17 @@ TEST(RmtCut, IncrementalMatchesReferenceWitnessExactly) {
     const Instance inst = triple_path(k);
     EXPECT_TRUE(same_witness(find_rmt_cut(inst), find_rmt_cut_reference(inst)));
   }
+  // Antichains of 15, 16, 17 and 33 maximal sets, with the first
+  // qualifying one just before, at and just after index 16 (or none).
+  for (const auto& [before, after, cover] : testing::kAntichainPositions) {
+    const Instance inst = testing::antichain_position_instance(before, after, cover);
+    const auto got = find_rmt_cut(inst);
+    EXPECT_TRUE(same_witness(got, find_rmt_cut_reference(inst))) << inst.to_string();
+    EXPECT_EQ(got.has_value(), cover);
+    if (got) {
+      EXPECT_EQ(got->c1, inst.adversary().maximal_sets()[before]);
+    }
+  }
 }
 
 TEST(RmtCut, HotPathNeverSpillsNorRebuildsAt26Nodes) {
@@ -187,23 +197,6 @@ TEST(RmtCut, HotPathNeverSpillsNorRebuildsAt26Nodes) {
   EXPECT_EQ(obs::Registry::global().counter("nodeset.heap_spills").value(), 0u);
   obs::Registry::global().reset();
   obs::set_enabled(false);
-}
-
-TEST(RmtCutDeciderPool, PooledWitnessIsSequentialWitness) {
-  // The pooled scan keeps the lowest-index candidate per batch, so its
-  // answer must be bit-identical to the sequential one — here against both
-  // the incremental and the reference decider.
-  exec::ThreadPool pool(4);
-  Rng rng(67);
-  for (int trial = 0; trial < 25; ++trial) {
-    const Instance inst = testing::random_instance(7, 0.3, 3, 2, 1 + trial % 3, rng);
-    const auto seq = find_rmt_cut(inst);
-    EXPECT_TRUE(same_witness(seq, find_rmt_cut(inst, &pool))) << inst.to_string();
-    EXPECT_TRUE(same_witness(seq, find_rmt_cut_reference(inst))) << inst.to_string();
-  }
-  const Instance big =
-      Instance::ad_hoc(generators::cycle_graph(20), AdversaryStructure::trivial(), 0, 10);
-  EXPECT_TRUE(same_witness(find_rmt_cut(big), find_rmt_cut(big, &pool)));
 }
 
 TEST(RmtCut, RejectsOversizedInstance) {

@@ -7,7 +7,6 @@
 #include <optional>
 
 #include "analysis/rmt_cut.hpp"
-#include "exec/thread_pool.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "tests/test_util.hpp"
@@ -100,19 +99,17 @@ TEST(ZppCut, IncrementalMatchesReferenceWitnessExactly) {
   const Instance big =
       Instance::ad_hoc(generators::cycle_graph(26), AdversaryStructure::trivial(), 0, 13);
   EXPECT_TRUE(same_witness(find_rmt_zpp_cut(big), find_rmt_zpp_cut_reference(big)));
-}
-
-TEST(ZppCutDeciderPool, PooledWitnessIsSequentialWitness) {
-  exec::ThreadPool pool(4);
-  Rng rng(73);
-  for (int trial = 0; trial < 25; ++trial) {
-    const Instance inst = testing::random_instance(7, 0.3, 3, 2, 0, rng);
-    EXPECT_TRUE(same_witness(find_rmt_zpp_cut(inst), find_rmt_zpp_cut(inst, &pool)))
-        << inst.to_string();
+  // Antichains of 15, 16, 17 and 33 maximal sets, with the first
+  // qualifying one just before, at and just after index 16 (or none).
+  for (const auto& [before, after, cover] : testing::kAntichainPositions) {
+    const Instance inst = testing::antichain_position_instance(before, after, cover);
+    const auto got = find_rmt_zpp_cut(inst);
+    EXPECT_TRUE(same_witness(got, find_rmt_zpp_cut_reference(inst))) << inst.to_string();
+    EXPECT_EQ(got.has_value(), cover);
+    if (got) {
+      EXPECT_EQ(got->c1, inst.adversary().maximal_sets()[before]);
+    }
   }
-  const Instance big =
-      Instance::ad_hoc(generators::cycle_graph(20), AdversaryStructure::trivial(), 0, 10);
-  EXPECT_TRUE(same_witness(find_rmt_zpp_cut(big), find_rmt_zpp_cut(big, &pool)));
 }
 
 TEST(ZppCutBroadcast, ExistsIffSomeReceiverFails) {
